@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -19,7 +20,7 @@
 #include "net/network_graph.h"
 #include "net/topology_factory.h"
 #include "net/reliable_link.h"
-#include "obs/analyze/check.h"
+#include "obs/analyze/incremental.h"
 #include "obs/analyze/json_reader.h"
 #include "obs/export.h"
 #include "obs/metrics_registry.h"
@@ -133,6 +134,47 @@ struct GeneratedPlan {
   std::vector<TrackedCrash> vacancies;
 };
 
+/// The campaign's trace sink and only oracle path: it feeds each event to
+/// the streaming checker as it is emitted, collects the strike and churn
+/// times behind max_reconverge_latency, and appends to a kept JSONL trace.
+struct OracleSink final : obs::TraceSink {
+  OracleSink(bool keep, bool membership_mode)
+      : keep_trace(keep), membership(membership_mode) {}
+
+  void accept(obs::TraceEvent ev) override {
+    obs::ProfSpan span(obs::ProfCat::kSink);
+    checker.feed(ev);
+    if (keep_trace) {
+      obs::append_jsonl(ev, trace);
+      trace += '\n';
+    }
+    if (ev.category != obs::Category::kReliability) return;
+    // Membership mode counts belief/roster repair and adoption traffic as
+    // churn too — a strike is only "quiet" once the views stop moving.
+    if (ev.name == "fd.corrupt") {
+      corrupt_times.push_back(ev.time);
+    } else if (ev.name == "fd.elect" || ev.name == "fd.claim" ||
+               ev.name == "fd.audit_conflict" ||
+               ev.name == "fd.audit_heal" ||
+               ev.name == "fd.epoch_regress" ||
+               ev.name == "fd.lease_expire" ||
+               (membership &&
+                (ev.name == "fd.member_heal" ||
+                 ev.name == "fd.roster_heal" ||
+                 ev.name == "fd.roster_conflict" ||
+                 ev.name == "fd.adopt" || ev.name == "fd.adopt_bind"))) {
+      churn_times.push_back(ev.time);
+    }
+  }
+
+  bool keep_trace;
+  bool membership;
+  obs::analyze::StreamingChecker checker;
+  std::string trace;
+  std::vector<double> corrupt_times;
+  std::vector<double> churn_times;
+};
+
 }  // namespace
 
 Time ChaosSoak::detection_bound() const {
@@ -164,19 +206,22 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index,
   res.seed = cfg_.seed + index;
   res.topology = net::to_string(cfg_.topology);
 
-  obs::RingBufferSink sink(cfg_.trace_capacity);
+  std::optional<OracleSink> oracle(std::in_place, keep_trace,
+                                   cfg_.membership);
   std::unique_ptr<obs::StreamingFileSink> stream;
   std::unique_ptr<obs::TeeSink> tee;
   // Destructor order matters: `capture` restores the outer tracer before
-  // the tee/stream it may point at are torn down.
-  obs::ScopedTrace capture(sink, obs::kAllCategories);
-  // A streaming sink cannot clear() like the ring, so the seed-retry loop
-  // recreates it (wiping the directory) whenever a stack draw is discarded.
+  // the sinks it may point at are torn down.
+  obs::ScopedTrace capture(*oracle, obs::kAllCategories);
   const std::string campaign_dir =
       cfg_.trace_out_dir.empty()
           ? std::string()
           : cfg_.trace_out_dir + "/campaign_" + std::to_string(index);
+  // Each stack draw gets a fresh oracle and stream (wiping its directory),
+  // so the verdict covers exactly one stack.
   const auto install_capture = [&] {
+    oracle.emplace(keep_trace, cfg_.membership);
+    obs::tracer().set_sink(&*oracle);
     if (campaign_dir.empty()) return;
     std::error_code ec;
     std::filesystem::remove_all(campaign_dir, ec);
@@ -185,17 +230,15 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index,
     scfg.format = obs::TraceFormat::kWtr;
     tee.reset();
     stream = std::make_unique<obs::StreamingFileSink>(scfg);
-    tee = std::make_unique<obs::TeeSink>(sink, *stream);
+    tee = std::make_unique<obs::TeeSink>(*oracle, *stream);
     obs::tracer().set_sink(tee.get());
   };
 
   // Deterministic seed-retry: kOnePerCellPlus deployments are almost always
   // healthy, but a pathological draw (an unconnected cell) would void the
-  // paper's preconditions — bump the stack seed until healthy, wiping the
-  // partial capture so the surviving trace covers exactly one stack.
+  // paper's preconditions — bump the stack seed until healthy.
   std::unique_ptr<Stack> stack;
   for (std::uint64_t retry = 0;; ++retry) {
-    sink.clear();
     install_capture();
     obs::tracer().reset_flows(0);
     stack = std::make_unique<Stack>(cfg_.topology, cfg_.grid_side,
@@ -549,50 +592,31 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index,
   const std::vector<emulation::ClaimRecord> claims = detector.claims();
   detector.stop();
   stack->sim.run();
+  res.sim_time = stack->sim.now();
+  res.sim_events = stack->sim.events_processed();
 
   // ---- Invariants --------------------------------------------------------
   auto finding = [&res](std::string msg) {
     res.findings.push_back(std::move(msg));
   };
-  if (sink.dropped() != 0) {
-    finding("trace capture overflow: " + std::to_string(sink.dropped()) +
-            " events lost");
-  }
-  if (stream) {
-    if (!stream->close()) {
-      finding("streaming trace capture failed: " + stream->error());
-    } else if (stream->events() != sink.size() + sink.dropped()) {
-      finding("streaming capture saw " + std::to_string(stream->events()) +
-              " events, ring saw " +
-              std::to_string(sink.size() + sink.dropped()));
-    }
-  }
-  const std::vector<obs::TraceEvent> events = sink.events();
-  res.events = events.size();
 
   std::ostringstream snap;
   registry.write_json(snap);
   const obs::analyze::JsonValue snapshot =
       obs::analyze::parse_json(snap.str());
-  const auto merge = [&](const char* what,
-                         const obs::analyze::CheckReport& report) {
-    for (const std::string& issue : report.issues) {
-      finding(std::string(what) + ": " + issue);
+  const obs::analyze::CheckReport report =
+      oracle->checker.finish(&snapshot);
+  res.events = report.events_seen;
+  if (stream) {
+    if (!stream->close()) {
+      finding("streaming trace capture failed: " + stream->error());
+    } else if (stream->events() != report.events_seen) {
+      finding("streaming capture saw " + std::to_string(stream->events()) +
+              " events, oracle saw " + std::to_string(report.events_seen));
     }
-  };
-  merge("check_trace", obs::analyze::check_trace(events));
-  merge("check_energy", obs::analyze::check_energy(events, snapshot));
-  merge("check_reliability",
-        obs::analyze::check_reliability(events, &snapshot));
-  merge("check_failure_detection",
-        obs::analyze::check_failure_detection(events));
-  merge("check_depletion", obs::analyze::check_depletion(events));
+  }
+  for (const std::string& issue : report.issues) finding("oracle: " + issue);
   if (cfg_.corruption || cfg_.membership) {
-    // Re-convergence within the analytic bound: no leadership churn after
-    // the last disturbance plus the stabilization window. Strictly
-    // increasing claim epochs per cell are already check_failure_detection
-    // territory; split-brain and end-state agreement are asserted below.
-    merge("check_stabilization", obs::analyze::check_stabilization(events));
     for (const core::GridCoord& c : unconverged) {
       finding("cell (" + std::to_string(c.row) + "," + std::to_string(c.col) +
               ") never re-converged: live members disagree on (leader, "
@@ -600,31 +624,10 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index,
     }
     // Worst corruption-to-quiet latency, for reporting and the convergence
     // bench: the last churn event each strike provoked within its window.
-    // Membership mode counts belief/roster repair and adoption traffic as
-    // churn too — a strike is only "quiet" once the views stop moving.
-    std::vector<double> corrupt_times;
-    std::vector<double> churn_times;
-    for (const obs::TraceEvent& ev : events) {
-      if (ev.category != obs::Category::kReliability) continue;
-      if (ev.name == "fd.corrupt") {
-        corrupt_times.push_back(ev.time);
-      } else if (ev.name == "fd.elect" || ev.name == "fd.claim" ||
-                 ev.name == "fd.audit_conflict" ||
-                 ev.name == "fd.audit_heal" ||
-                 ev.name == "fd.epoch_regress" ||
-                 ev.name == "fd.lease_expire" ||
-                 (cfg_.membership &&
-                  (ev.name == "fd.member_heal" ||
-                   ev.name == "fd.roster_heal" ||
-                   ev.name == "fd.roster_conflict" ||
-                   ev.name == "fd.adopt" || ev.name == "fd.adopt_bind"))) {
-        churn_times.push_back(ev.time);
-      }
-    }
     const Time stab = detector.stabilization_bound();
-    for (const double t : corrupt_times) {
+    for (const double t : oracle->corrupt_times) {
       double last = t;
-      for (const double c : churn_times) {
+      for (const double c : oracle->churn_times) {
         if (c > t && c <= t + stab) last = std::max(last, c);
       }
       res.max_reconverge_latency =
@@ -632,9 +635,6 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index,
     }
   }
   if (cfg_.membership) {
-    // Trace-level membership oracle: quiescence after the reconciliation
-    // deadline, every adoption accepted, every vacated cell re-bound.
-    merge("check_membership", obs::analyze::check_membership(events));
     res.adoptions = detector.adoptions().size();
     res.adopt_binds = static_cast<std::size_t>(detector.adopt_binds());
     // Zero dark cells, beliefs and rosters inverse-consistent: the
@@ -760,11 +760,7 @@ ChaosCampaignResult ChaosSoak::run_campaign(std::size_t index,
     res.stale_rejected += p.stale_rejected;
   }
 
-  if (keep_trace || !res.findings.empty()) {
-    std::ostringstream out;
-    obs::write_jsonl(events, out);
-    res.trace_jsonl = out.str();
-  }
+  res.trace_jsonl = std::move(oracle->trace);
   return res;
 }
 

@@ -7,16 +7,14 @@
 // generates a FaultPlan from the campaign's own seeded RNG under a severity
 // budget, runs deadline-bounded reduce rounds through the faults, lets the
 // detector settle, and then asserts:
-//   * every analyzer check over the captured trace (check_trace,
-//     check_energy vs. a metrics snapshot, check_reliability,
-//     check_failure_detection) is clean;
+//   * the trace oracle (obs::analyze::StreamingChecker, fed live as the
+//     tracer's sink, finished against a metrics snapshot) is clean; it holds
+//     live protocol state, not the trace, so it is sound at any size;
 //   * no split-brain: at campaign end no two live nodes of one cell both
 //     believe they lead it at the same epoch;
 //   * every unrecovered leader crash with surviving members produced
 //     exactly one leadership claim for that cell, within the detection
-//     bound (lease + election + slack);
-//   * the trace capture did not overflow (a truncated capture would make
-//     the other checks vacuous).
+//     bound (lease + election + slack).
 //
 // The plan generator is constrained to keep the paper's preconditions
 // intact — it never removes a node whose loss would disconnect or empty its
@@ -55,12 +53,10 @@ struct ChaosSoakConfig {
   /// loss burst ~ loss*duration/5, region outage 0.75/cell.
   double severity_budget = 4.0;
   std::size_t max_plan_events = 10;
-  /// Ring capacity for the per-campaign capture; overflow is a finding.
-  std::size_t trace_capacity = 1u << 19;
   /// When non-empty, each campaign additionally streams its capture to
   /// `<trace_out_dir>/campaign_<index>` as wtr segments (obs/stream_sink.h)
   /// through a TeeSink — the scale-capture path exercised under chaos. A
-  /// sink failure is a campaign finding.
+  /// sink failure or event-count mismatch with the oracle is a finding.
   std::string trace_out_dir;
   emulation::FailureDetectorConfig detector;
 
@@ -125,9 +121,11 @@ struct ChaosCampaignResult {
   std::uint64_t seed = 0;
   std::string plan_json;              // FaultPlan::to_json of the campaign
   std::vector<std::string> findings;  // empty == campaign passed
-  std::string trace_jsonl;  // captured events; filled only when requested
+  std::string trace_jsonl;  // JSONL trace; filled only when keep_trace
   // Stats for reporting / the detection-latency bench.
-  std::size_t events = 0;
+  std::size_t events = 0;        // trace events emitted (all of them)
+  Time sim_time = 0.0;           // simulated time at campaign end
+  std::uint64_t sim_events = 0;  // kernel events the campaign processed
   std::size_t claims = 0;
   std::size_t leader_crashes = 0;
   std::size_t split_brains = 0;
@@ -173,13 +171,13 @@ class ChaosSoak {
   /// election close, plus propagation slack.
   Time detection_bound() const;
 
-  /// Runs campaign `index` from scratch (fresh stack, fresh capture).
-  /// `keep_trace` fills ChaosCampaignResult::trace_jsonl even on success
-  /// (the replay determinism test diffs two runs byte-for-byte).
+  /// Runs campaign `index` from scratch (fresh stack, fresh oracle).
+  /// Only `keep_trace` fills ChaosCampaignResult::trace_jsonl, as events
+  /// are emitted (the replay determinism test diffs two runs byte-for-byte).
   ChaosCampaignResult run_campaign(std::size_t index,
                                    bool keep_trace = false) const;
 
-  /// Runs every campaign; traces are retained only for failing campaigns.
+  /// Runs every campaign without keeping traces.
   ChaosSoakSummary run() const;
 
  private:

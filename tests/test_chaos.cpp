@@ -1,17 +1,65 @@
 // Chaos-soak harness (sim/chaos_soak.h): the full fixed-seed soak must come
 // back with zero findings and zero split-brains, a single campaign must
-// replay byte-identically (trace JSONL and plan JSON both), and every
+// replay byte-identically (trace JSONL and plan JSON both), every
 // generated FaultPlan must round-trip through the JSON loader it claims to
-// be replayable with.
+// be replayable with, the live streaming oracle must agree with the batch
+// checkers over the kept trace, and the oracle must stay sound at 8x8/256.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "obs/analyze/check.h"
+#include "obs/export.h"
 #include "sim/chaos_soak.h"
 #include "sim/fault_plan.h"
 
 namespace wsn {
 namespace {
+
+/// The campaign's oracle findings, "oracle: " prefix stripped, sorted.
+std::vector<std::string> oracle_findings(const sim::ChaosCampaignResult& res) {
+  static const std::string kPrefix = "oracle: ";
+  std::vector<std::string> out;
+  for (const std::string& f : res.findings) {
+    if (f.rfind(kPrefix, 0) == 0) out.push_back(f.substr(kPrefix.size()));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The batch check_* reference implementations over a kept trace, their
+/// issues unioned and sorted. check_energy and the ARQ-counter half of
+/// check_reliability compare against the campaign's metrics snapshot, which
+/// the result does not carry, so they are left out here.
+std::vector<std::string> batch_findings(const std::string& trace_jsonl) {
+  std::istringstream in(trace_jsonl);
+  const std::vector<obs::TraceEvent> events = obs::parse_jsonl(in);
+  std::vector<std::string> out;
+  for (const obs::analyze::CheckReport& r :
+       {obs::analyze::check_trace(events),
+        obs::analyze::check_reliability(events),
+        obs::analyze::check_failure_detection(events),
+        obs::analyze::check_depletion(events),
+        obs::analyze::check_stabilization(events),
+        obs::analyze::check_membership(events)}) {
+    out.insert(out.end(), r.issues.begin(), r.issues.end());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The live oracle and the batch checkers must reach the same verdict, with
+/// the same wording, over the trace the campaign kept.
+void expect_oracle_matches_batch(const sim::ChaosCampaignResult& res) {
+  ASSERT_FALSE(res.trace_jsonl.empty());
+  EXPECT_EQ(oracle_findings(res), batch_findings(res.trace_jsonl))
+      << res.topology << " campaign " << res.index << " (seed " << res.seed
+      << ")";
+}
 
 TEST(ChaosSoak, FullSoakZeroFindings) {
   sim::ChaosSoakConfig cfg;  // 25 campaigns, fixed seed 20260805
@@ -41,6 +89,12 @@ TEST(ChaosSoak, SingleCampaignReplaysByteIdentically) {
   EXPECT_EQ(first.events, second.events);
   EXPECT_EQ(first.trace_jsonl, second.trace_jsonl)
       << "same seed + same plan must produce a byte-identical trace";
+  // The kernel totals wsn-chaos --profile reports replay exactly too.
+  EXPECT_GT(first.sim_events, 0u);
+  EXPECT_GT(first.sim_time, 0.0);
+  EXPECT_EQ(first.sim_events, second.sim_events);
+  EXPECT_EQ(first.sim_time, second.sim_time);
+  expect_oracle_matches_batch(first);
 }
 
 TEST(ChaosSoak, GeneratedPlansRoundTripThroughJson) {
@@ -98,6 +152,7 @@ TEST(ChaosSoak, DepletionCampaignReplaysByteIdentically) {
   EXPECT_EQ(first.depletions, second.depletions);
   EXPECT_EQ(first.trace_jsonl, second.trace_jsonl)
       << "battery exhaustion must stay inside the deterministic event loop";
+  expect_oracle_matches_batch(first);
 }
 
 TEST(ChaosSoak, DetectionLatencyWithinBound) {
@@ -169,6 +224,7 @@ TEST(ChaosSoak, CorruptionCampaignReplaysByteIdentically) {
   EXPECT_EQ(first.max_reconverge_latency, second.max_reconverge_latency);
   EXPECT_EQ(first.trace_jsonl, second.trace_jsonl)
       << "corruption campaigns must replay byte-for-byte";
+  expect_oracle_matches_batch(first);
 }
 
 TEST(ChaosSoak, CorruptionPlansCarryOnlyCorruptionEvents) {
@@ -252,6 +308,7 @@ TEST(ChaosSoak, MembershipCampaignReplaysByteIdentically) {
   EXPECT_EQ(first.max_adoption_latency, second.max_adoption_latency);
   EXPECT_EQ(first.trace_jsonl, second.trace_jsonl)
       << "membership campaigns must replay byte-for-byte";
+  expect_oracle_matches_batch(first);
 }
 
 TEST(ChaosSoak, MembershipPlansMixStrikesAndVacancies) {
@@ -278,6 +335,47 @@ TEST(ChaosSoak, MembershipPlansMixStrikesAndVacancies) {
     EXPECT_GT(crashes, 0u) << "campaign " << k
                            << " staged no vacancy: " << res.plan_json;
   }
+}
+
+TEST(ChaosSoak, OracleMatchesBatchOnFailingInputs) {
+  // The two inputs the soak is known to fail on (CHANGES.md, FOUND): the
+  // live oracle must judge them exactly as the batch checkers do.
+  sim::ChaosSoakConfig membership;
+  membership.membership = true;
+  membership.topology = net::TopologyKind::kRing;
+  membership.seed = 437929382;
+  sim::ChaosSoakConfig depletion;
+  depletion.depletion = true;
+  depletion.seed = 883585205;
+  for (const sim::ChaosSoakConfig& cfg : {membership, depletion}) {
+    expect_oracle_matches_batch(
+        sim::ChaosSoak(cfg).run_campaign(0, /*keep_trace=*/true));
+  }
+}
+
+// ---- Oracle soundness at scale -------------------------------------------
+
+TEST(ChaosSoak, FullOracleHoldsAt8x8With256Nodes) {
+  // One campaign per mode at 8x8/256: the size where a bounded capture of
+  // the trace could not hold the run. The live oracle must judge every
+  // event, so each campaign passes and its event count is the whole run.
+  std::size_t max_events = 0;
+  for (int mode = 0; mode < 4; ++mode) {
+    sim::ChaosSoakConfig cfg;
+    cfg.grid_side = 8;
+    cfg.node_count = 256;
+    cfg.depletion = mode == 1;
+    cfg.corruption = mode == 2;
+    cfg.membership = mode == 3;
+    const auto res = sim::ChaosSoak(cfg).run_campaign(0, /*keep_trace=*/false);
+    EXPECT_TRUE(res.trace_jsonl.empty());
+    max_events = std::max(max_events, res.events);
+    for (const std::string& f : res.findings) {
+      ADD_FAILURE() << "mode " << mode << " (seed " << res.seed << "): " << f
+                    << "\nplan: " << res.plan_json;
+    }
+  }
+  EXPECT_GT(max_events, std::size_t{1} << 19);
 }
 
 }  // namespace

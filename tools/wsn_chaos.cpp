@@ -2,11 +2,11 @@
 //
 // Runs N randomized-but-replayable fault campaigns against the full physical
 // stack with the distributed failure detector, checking every campaign
-// against the trace oracle and the failure-detection invariants. Exit 0 when
-// every campaign passes, 1 otherwise. With --out DIR, each failing
-// campaign's FaultPlan JSON and JSONL trace are written there so the run is
-// reproducible offline (`wsn-inspect check <trace>`); CI uploads them as
-// artifacts.
+// against the live trace oracle and the failure-detection invariants. Exit 0
+// when every campaign passes, 1 otherwise. With --out DIR, campaigns keep
+// their JSONL trace, and each failing campaign's FaultPlan JSON and trace
+// are written there so the run is reproducible offline
+// (`wsn-inspect check <trace>`); CI uploads them as artifacts.
 //
 // Usage:
 //   wsn-chaos [--campaigns N] [--seed S] [--grid N] [--nodes N]
@@ -40,8 +40,9 @@
 // campaign length, readable with `wsn-inspect check DIR/campaign_<k>`.
 //
 // --profile arms the host-side SimProfiler across the whole soak and writes
-// its perf snapshot (wsn-inspect perf) to PATH on exit. Profiling reads only
-// the host clock, so campaign traces and verdicts are unchanged by it.
+// its perf snapshot (wsn-inspect perf, sim time and events summed over the
+// campaigns) to PATH on exit. Profiling reads only the host clock, so
+// campaign traces and verdicts are unchanged by it.
 //
 // --depletion switches the generator into energy-exhaustion mode: a few
 // cells' leaders get finite batteries, the detector runs with proactive
@@ -141,7 +142,6 @@ int main(int argc, char** argv) {
       cfg.severity_budget = std::strtod(next(), nullptr);
     } else if (arg == "--depletion") {
       cfg.depletion = true;
-      cfg.trace_capacity = 1u << 20;  // longer campaigns, bigger capture
     } else if (arg == "--corruption") {
       cfg.corruption = true;
     } else if (arg == "--membership") {
@@ -202,9 +202,13 @@ int main(int argc, char** argv) {
   std::size_t adoptions = 0;
   std::size_t adopt_binds = 0;
   unsigned long long seeds_rejected = 0;
+  double sim_time = 0.0;
+  std::uint64_t sim_events = 0;
   const auto take = [&](const wsn::sim::ChaosCampaignResult& res) {
     report(res, cfg.corruption, cfg.membership, verbose, out_dir);
     if (!res.ok()) ++failed;
+    sim_time += res.sim_time;
+    sim_events += res.sim_events;
     adoptions += res.adoptions;
     adopt_binds += res.adopt_binds;
     seeds_rejected += res.seeds_rejected;
@@ -213,13 +217,10 @@ int main(int argc, char** argv) {
                            : res.max_detection_latency;
     if (lat > 0.0) latencies.add(lat);
   };
-  if (only >= 0) {
-    take(soak.run_campaign(static_cast<std::size_t>(only),
-                           /*keep_trace=*/true));
-  } else {
-    for (std::size_t k = 0; k < cfg.campaigns; ++k) {
-      take(soak.run_campaign(k, /*keep_trace=*/false));
-    }
+  const std::size_t first = only >= 0 ? static_cast<std::size_t>(only) : 0;
+  const std::size_t end = only >= 0 ? first + 1 : cfg.campaigns;
+  for (std::size_t k = first; k < end; ++k) {
+    take(soak.run_campaign(k, /*keep_trace=*/!out_dir.empty()));
   }
   if (latencies.count() > 0) {
     std::printf("%s latency over %llu campaign(s): p50=%.2f p90=%.2f "
@@ -236,6 +237,7 @@ int main(int argc, char** argv) {
   }
   if (!profile_path.empty()) {
     wsn::obs::profiler().disarm();
+    wsn::obs::profiler().note_sim(sim_time, sim_events);
     write_file(profile_path, wsn::obs::profiler().to_json() + "\n");
     std::printf("perf profile: %s (read with wsn-inspect perf)\n",
                 profile_path.c_str());
